@@ -35,12 +35,28 @@ namespace detail {
 void checkAccessSlow(ThreadState &TS, uint64_t Bits, uint32_t Size,
                      bool IsWrite);
 
+/// Counts one completed tag check that covered \p Granules granules: the
+/// thread's own tally and the exported mte/access/* counters, all on one
+/// metric-shard lookup. \p CacheHit adds region_cache_hit (the inlined
+/// hit paths; the slow paths are counted as misses).
+M4J_ALWAYS_INLINE void countChecked(ThreadState &TS, bool IsWrite,
+                                    uint64_t Granules, bool CacheHit) {
+  TS.noteChecks(Granules);
+  const AccessCounters &C = TS.accessCounters();
+  unsigned Shard = support::detail::metricShard();
+  if (CacheHit)
+    C.CacheHits.addAt(Shard);
+  (IsWrite ? C.CheckedStores : C.CheckedLoads).addAt(Shard);
+  C.CheckedGranules.addAt(Shard, Granules);
+}
+
 /// Header-inlined hit path: the access lies entirely inside the thread's
 /// cached last-hit region, the cache is from the current publish epoch,
 /// and every touched granule's tag matches. Returns false (deferring to
 /// checkAccessSlow) on cache miss, straddle out of the cached region, or
 /// tag mismatch. The epoch load is the only shared-state read — no
-/// MteSystem::instance() magic-static guard, no region-list walk.
+/// MteSystem::instance() magic-static guard, no region-list walk — and
+/// the counters come from the thread's state, not function-local statics.
 M4J_ALWAYS_INLINE bool checkAccessFast(ThreadState &TS, uint64_t Bits,
                                        uint32_t Size, bool IsWrite) {
   const TaggedRegion *Region = TS.cachedRegion();
@@ -63,19 +79,8 @@ M4J_ALWAYS_INLINE bool checkAccessFast(ThreadState &TS, uint64_t Bits,
     if (Granule >= Last)
       break;
   }
-  uint64_t Granules = ((Last - First) >> kGranuleShift) + 1;
-  TS.noteChecks(Granules);
-  static support::Counter &CacheHits =
-      support::Metrics::counter("mte/access/region_cache_hit");
-  static support::Counter &CheckedLoads =
-      support::Metrics::counter("mte/access/checked_loads");
-  static support::Counter &CheckedStores =
-      support::Metrics::counter("mte/access/checked_stores");
-  static support::Counter &CheckedGranules =
-      support::Metrics::counter("mte/access/checked_granules");
-  CacheHits.add();
-  (IsWrite ? CheckedStores : CheckedLoads).add();
-  CheckedGranules.add(Granules);
+  countChecked(TS, IsWrite, ((Last - First) >> kGranuleShift) + 1,
+               /*CacheHit=*/true);
   return true;
 }
 
@@ -91,18 +96,22 @@ M4J_ALWAYS_INLINE void maybeCheck(uint64_t Bits, uint32_t Size,
 } // namespace detail
 
 /// Tag-checked load of a T through a tagged pointer. (T may be
-/// const-qualified; the value type returned is the unqualified T.)
+/// const-qualified; the value type returned is the unqualified T.) The
+/// access may be unaligned, like native code's: memcpy keeps that defined
+/// and still compiles to one move.
 template <typename T>
 M4J_ALWAYS_INLINE std::remove_const_t<T> load(TaggedPtr<T> Ptr) {
   detail::maybeCheck(Ptr.bits(), sizeof(T), /*IsWrite=*/false);
-  return *Ptr.raw();
+  std::remove_const_t<T> Value;
+  std::memcpy(&Value, Ptr.raw(), sizeof(T));
+  return Value;
 }
 
 /// Tag-checked store of a T through a tagged pointer.
 template <typename T>
 M4J_ALWAYS_INLINE void store(TaggedPtr<T> Ptr, T Value) {
   detail::maybeCheck(Ptr.bits(), sizeof(T), /*IsWrite=*/true);
-  *Ptr.raw() = Value;
+  std::memcpy(Ptr.raw(), &Value, sizeof(T));
 }
 
 /// Tag-checked bulk copy. Checks once per touched granule (hardware checks

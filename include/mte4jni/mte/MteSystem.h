@@ -151,6 +151,8 @@ public:
   // -- thread registry (used by ThreadState) -------------------------------
   void registerThread(ThreadState *State);
   void unregisterThread(ThreadState *State);
+  /// Live registered ThreadStates (diagnostics/tests).
+  size_t registeredThreadCount();
 
   /// Deterministic seed base for per-thread IRG RNGs.
   void setRngSeed(uint64_t Seed) {

@@ -18,6 +18,10 @@
 ///     prctl(PR_SET_TAGGED_ADDR_CTRL).
 ///   * TFSR — the async-fault latch drained at simulated syscalls.
 ///
+/// current() is header-inline: one constinit TLS pointer load and a null
+/// test. The state itself is created on first use by an out-of-line slow
+/// path, and its destructor clears the pointer again at thread exit.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef MTE4JNI_MTE_THREADSTATE_H
@@ -31,16 +35,51 @@
 #include <cstdint>
 #include <memory>
 
+namespace mte4jni::support {
+class Counter;
+class Histogram;
+} // namespace mte4jni::support
+
 namespace mte4jni::mte {
 
 class MteSystem;
 class TaggedRegion;
+class ThreadState;
+
+namespace detail {
+/// The calling thread's state once created; null before first use and
+/// after the state's thread-exit teardown. constinit: a plain TLS load,
+/// no dynamic-initialization guard.
+extern constinit thread_local ThreadState *CurrentThreadState;
+} // namespace detail
+
+/// The exported counters of the checked-access paths (Access.h,
+/// Access.cpp). Resolved from the registry once per process, on first
+/// use, and copied into each ThreadState by its constructor, so the
+/// per-access hit path reaches them through the state it already holds:
+/// no function-local static guard, and no dependence on
+/// static-initialisation order.
+struct AccessCounters {
+  support::Counter &CacheHits;       ///< mte/access/region_cache_hit
+  support::Counter &CheckedLoads;    ///< mte/access/checked_loads
+  support::Counter &CheckedStores;   ///< mte/access/checked_stores
+  support::Counter &CheckedGranules; ///< mte/access/checked_granules
+  support::Histogram &CheckRangeNanos; ///< mte/access/check_range_nanos
+};
 
 class ThreadState {
 public:
   /// The calling thread's state; lazily created and registered with the
-  /// MteSystem on first use.
-  static ThreadState &current();
+  /// MteSystem on first use. A thread_local destructor that runs after
+  /// this thread's state was torn down gets a fresh state (registered
+  /// likewise, with the torn-down state's TCO and TCF), never the
+  /// destroyed one.
+  M4J_ALWAYS_INLINE static ThreadState &current() {
+    ThreadState *TS = detail::CurrentThreadState;
+    if (M4J_LIKELY(TS != nullptr))
+      return *TS;
+    return currentSlow();
+  }
 
   // -- TCO ------------------------------------------------------------
   /// TCO=1 suppresses tag checks (the hardware meaning).
@@ -86,8 +125,9 @@ public:
 
   uint64_t threadId() const { return Id; }
 
-  // Internal: used by the checked-access slow path.
-  void noteCheck() { ++NumChecks; }
+  const AccessCounters &accessCounters() const { return Counters; }
+
+  // Internal: used by the checked-access paths.
   void noteChecks(uint64_t N) { NumChecks += N; }
   void noteMismatch() { ++NumMismatches; }
 
@@ -142,6 +182,10 @@ private:
   ~ThreadState();
   friend class MteSystem;
 
+  /// First use on this thread (or use after teardown): creates the state
+  /// and publishes it in detail::CurrentThreadState.
+  M4J_NOINLINE static ThreadState &currentSlow();
+
   void refreshChecksOn() {
     ChecksOn.store(Mode != CheckMode::None && !Tco,
                    std::memory_order_relaxed);
@@ -181,6 +225,7 @@ private:
   }
   TagSlotMemoEntry TagSlotMemo[kTagSlotMemoSize];
 
+  AccessCounters Counters;
   support::Xoshiro256 IrgRng;
   uint64_t Id;
 };

@@ -77,8 +77,10 @@ namespace detail {
 unsigned assignMetricShardSlow();
 
 /// Cached shard + 1 (0 = unassigned). constinit so every access is a plain
-/// TLS load — no per-access dynamic-initialization guard.
-extern thread_local unsigned MetricShardCache;
+/// TLS load — no per-access dynamic-initialization guard. The keyword must
+/// be on this declaration too: without it, every other translation unit
+/// reaches the variable through the TLS wrapper function.
+extern constinit thread_local unsigned MetricShardCache;
 
 M4J_ALWAYS_INLINE unsigned metricShard() {
   unsigned S = MetricShardCache;
@@ -92,7 +94,13 @@ M4J_ALWAYS_INLINE unsigned metricShard() {
 class Counter {
 public:
   M4J_ALWAYS_INLINE void add(uint64_t N = 1) {
-    unsigned S = detail::metricShard();
+    addAt(detail::metricShard(), N);
+  }
+
+  /// add() on a shard the caller already looked up with
+  /// detail::metricShard(): a hot path that bumps several counters pays
+  /// for one shard lookup instead of one per counter.
+  M4J_ALWAYS_INLINE void addAt(unsigned S, uint64_t N = 1) {
     std::atomic<uint64_t> &V = Cells[S].V;
     if (M4J_LIKELY(S != kMetricOverflowShard))
       // Exclusive owner: plain add, no RMW. Relaxed atomic accesses keep

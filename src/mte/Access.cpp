@@ -20,18 +20,12 @@ namespace detail {
 
 namespace {
 
-/// Per-path metrics behind the paper's Figure 5/8 breakdowns: how many
-/// accesses actually reached the tag check, how many granules those
-/// checks covered, how mismatches split across TCF modes, and how the
-/// per-thread region cache performed (hits are counted in the inlined
-/// fast path, Access.h).
+/// Slow-path metrics behind the paper's Figure 5/8 breakdowns: how
+/// mismatches split across TCF modes and why the per-thread region cache
+/// missed. The counters every check bumps (checked loads, stores and
+/// granules, cache hits) live in the thread's AccessCounters instead; see
+/// countChecked in Access.h.
 struct AccessMetrics {
-  support::Counter &CheckedLoads =
-      support::Metrics::counter("mte/access/checked_loads");
-  support::Counter &CheckedStores =
-      support::Metrics::counter("mte/access/checked_stores");
-  support::Counter &CheckedGranules =
-      support::Metrics::counter("mte/access/checked_granules");
   support::Counter &MismatchSync =
       support::Metrics::counter("mte/access/mismatch_sync");
   support::Counter &MismatchAsync =
@@ -134,10 +128,7 @@ void checkAccessSlow(ThreadState &TS, uint64_t Bits, uint32_t Size,
       Hit = Region;
       ++Checked;
       if (M4J_UNLIKELY(Region->tagAt(Granule) != PointerTag)) {
-        TS.noteChecks(Checked);
-        AccessMetrics &AM = accessMetrics();
-        (IsWrite ? AM.CheckedStores : AM.CheckedLoads).add();
-        AM.CheckedGranules.add(Checked);
+        countChecked(TS, IsWrite, Checked, /*CacheHit=*/false);
         reportMismatch(TS, Address, PointerTag, Region->tagAt(Granule), Size,
                        IsWrite);
         return;
@@ -149,10 +140,7 @@ void checkAccessSlow(ThreadState &TS, uint64_t Bits, uint32_t Size,
   if (Checked == 0)
     return; // not PROT_MTE memory: unchecked, like hardware
 
-  TS.noteChecks(Checked);
-  AccessMetrics &AM = accessMetrics();
-  (IsWrite ? AM.CheckedStores : AM.CheckedLoads).add();
-  AM.CheckedGranules.add(Checked);
+  countChecked(TS, IsWrite, Checked, /*CacheHit=*/false);
 
   // Refill the last-hit cache when the whole access sits in one region —
   // the overwhelmingly common case the inlined fast path serves next time.
@@ -179,8 +167,7 @@ M4J_NOINLINE void checkRangeSlow(ThreadState &TS, uint64_t Bits,
   TagValue PointerTag = pointerTagOf(Bits);
 
   RegionPin Pin(System);
-  detail::AccessMetrics &AM = detail::accessMetrics();
-  AM.RegionCacheMiss.add();
+  detail::accessMetrics().RegionCacheMiss.add();
   detail::countRegionCacheMissReason(TS, Address, Bytes);
 
   uint64_t Granules = 0;
@@ -198,9 +185,7 @@ M4J_NOINLINE void checkRangeSlow(ThreadState &TS, uint64_t Bits,
     Granules += LastIdx - FirstIdx + 1;
     uint64_t Bad = Region.findMismatch(FirstIdx, LastIdx, PointerTag);
     if (M4J_UNLIKELY(Bad != UINT64_MAX)) {
-      TS.noteChecks(Granules);
-      (IsWrite ? AM.CheckedStores : AM.CheckedLoads).add();
-      AM.CheckedGranules.add(Granules);
+      detail::countChecked(TS, IsWrite, Granules, /*CacheHit=*/false);
       uint64_t BadAddr = Region.begin() + (Bad << kGranuleShift);
       uint64_t FaultAddr = std::max(Address, BadAddr);
       detail::reportMismatch(
@@ -215,9 +200,7 @@ M4J_NOINLINE void checkRangeSlow(ThreadState &TS, uint64_t Bits,
   if (Granules == 0)
     return; // not PROT_MTE memory
 
-  TS.noteChecks(Granules);
-  (IsWrite ? AM.CheckedStores : AM.CheckedLoads).add();
-  AM.CheckedGranules.add(Granules);
+  detail::countChecked(TS, IsWrite, Granules, /*CacheHit=*/false);
   if (Lat.armed()) {
     Lat.setArg(static_cast<uint8_t>(detail::checkKernelFor(Granules)));
     Lat.setArg2(static_cast<uint32_t>(
@@ -237,9 +220,8 @@ M4J_ALWAYS_INLINE void checkRange(uint64_t Bits, uint64_t Bytes,
 
   // ~1/64 of checks record a latency sample and a CheckScan flight slice
   // (kernel choice + granule count filled in below, once known).
-  static support::Histogram &CheckNanos =
-      support::Metrics::histogram("mte/access/check_range_nanos");
-  support::SampledLatency Lat(CheckNanos, support::FlightKind::CheckScan);
+  support::SampledLatency Lat(TS.accessCounters().CheckRangeNanos,
+                              support::FlightKind::CheckScan);
 
   // Fast path: whole range inside the thread's cached region under the
   // current publish epoch — one SWAR/SIMD scan, no list walk.
@@ -264,13 +246,7 @@ M4J_ALWAYS_INLINE void checkRange(uint64_t Bits, uint64_t Bytes,
     }
     uint64_t Bad = Cached->findMismatch(FirstIdx, LastIdx, PointerTag);
     if (M4J_LIKELY(Bad == UINT64_MAX)) {
-      TS.noteChecks(Granules);
-      detail::AccessMetrics &AM = detail::accessMetrics();
-      static support::Counter &CacheHits =
-          support::Metrics::counter("mte/access/region_cache_hit");
-      CacheHits.add();
-      (IsWrite ? AM.CheckedStores : AM.CheckedLoads).add();
-      AM.CheckedGranules.add(Granules);
+      detail::countChecked(TS, IsWrite, Granules, /*CacheHit=*/true);
       return;
     }
     // Mismatch: fall through for uniform counting and reporting.

@@ -228,6 +228,11 @@ void MteSystem::unregisterThread(ThreadState *State) {
     Threads.erase(It);
 }
 
+size_t MteSystem::registeredThreadCount() {
+  std::lock_guard<support::SpinLock> Guard(ThreadLock);
+  return Threads.size();
+}
+
 uint64_t MteSystem::nextThreadSeed() {
   uint64_t Counter = ThreadSeedCounter.fetch_add(1, std::memory_order_relaxed);
   return RngSeed.load(std::memory_order_relaxed) * 0x9e3779b97f4a7c15ULL +

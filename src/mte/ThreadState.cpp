@@ -13,28 +13,87 @@
 
 #include <atomic>
 
+#include <pthread.h>
+
 namespace mte4jni::mte {
+
+namespace detail {
+constinit thread_local ThreadState *CurrentThreadState = nullptr;
+} // namespace detail
+
 namespace {
 std::atomic<uint64_t> NextThreadId{1};
+
+/// Set when the state detail::CurrentThreadState pointed at is destroyed
+/// at thread exit, with the TCO and TCF it had, so a replacement created
+/// for a later thread_local destructor keeps checking the same way.
+struct Teardown {
+  bool Done = false;
+  bool Tco = false;
+  CheckMode Mode = CheckMode::None;
+};
+constinit thread_local Teardown ThreadTeardown;
+
+/// Registry lookups once per process; each new state copies the refs.
+const AccessCounters &registeredAccessCounters() {
+  static const AccessCounters Counters{
+      support::Metrics::counter("mte/access/region_cache_hit"),
+      support::Metrics::counter("mte/access/checked_loads"),
+      support::Metrics::counter("mte/access/checked_stores"),
+      support::Metrics::counter("mte/access/checked_granules"),
+      support::Metrics::histogram("mte/access/check_range_nanos")};
+  return Counters;
+}
 } // namespace
 
 ThreadState::ThreadState()
-    : IrgRng(MteSystem::instance().nextThreadSeed()),
+    : Counters(registeredAccessCounters()),
+      IrgRng(MteSystem::instance().nextThreadSeed()),
       Id(NextThreadId.fetch_add(1, std::memory_order_relaxed)) {
   // New threads inherit the process-default TCF mode, like a freshly
-  // cloned Linux task inherits PR_MTE_TCF_*.
-  Mode = MteSystem::instance().processCheckMode();
+  // cloned Linux task inherits PR_MTE_TCF_*. A replacement for a
+  // torn-down state keeps that state's registers instead.
+  if (ThreadTeardown.Done) {
+    Tco = ThreadTeardown.Tco;
+    Mode = ThreadTeardown.Mode;
+  } else {
+    Mode = MteSystem::instance().processCheckMode();
+  }
   refreshChecksOn();
   MteSystem::instance().registerThread(this);
 }
 
 ThreadState::~ThreadState() {
+  // Unregister first: afterwards no setProcessCheckMode can write Mode.
   MteSystem::instance().unregisterThread(this);
+  if (detail::CurrentThreadState == this) {
+    ThreadTeardown = {true, Tco, Mode};
+    detail::CurrentThreadState = nullptr;
+  }
 }
 
-ThreadState &ThreadState::current() {
-  thread_local ThreadState State;
-  return State;
+ThreadState &ThreadState::currentSlow() {
+  if (M4J_LIKELY(!ThreadTeardown.Done)) {
+    thread_local ThreadState State;
+    detail::CurrentThreadState = &State;
+    return State;
+  }
+  // A thread_local destructor is running after this thread's state was
+  // destroyed. Give it a replacement on the heap, freed by a pthread key
+  // destructor: those run after every C++ thread_local destructor, so the
+  // replacement outlives each caller that can still reach it. (Should the
+  // key be unavailable, the replacement leaks; it never dangles.)
+  static const pthread_key_t LateKey = [] {
+    pthread_key_t Key;
+    pthread_key_create(&Key, [](void *Late) {
+      delete static_cast<ThreadState *>(Late);
+    });
+    return Key;
+  }();
+  auto *Late = new ThreadState;
+  pthread_setspecific(LateKey, Late);
+  detail::CurrentThreadState = Late;
+  return *Late;
 }
 
 void ThreadState::latchAsyncFault(uint64_t DebugAddress, TagValue PointerTag,
