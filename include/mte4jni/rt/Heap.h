@@ -7,9 +7,9 @@
 ///
 /// \file
 /// The Java heap: a contiguous arena with thread-local allocation buffers
-/// (TLABs) bumping off a shared frontier, sharded segregated free lists
-/// refilled by the GC sweep, and an object-start liveness bitmap. Two knobs
-/// reproduce the paper's §4.1 modifications:
+/// (TLABs) bumping off a shared frontier, segregated free lists (per-thread
+/// shards plus one pool the GC sweep refills), and an object-start liveness
+/// bitmap. Two knobs reproduce the paper's §4.1 modifications:
 ///
 ///   * Alignment — ART's default is 8 bytes; MTE4JNI raises it to 16 so no
 ///     two objects ever share a tag granule.
@@ -23,12 +23,16 @@
 ///     from the arena under a short-held refill mutex and, under
 ///     TagOnAlloc, bulk-cleaned with ONE st2g-style tag-range write per
 ///     refill so per-object colouring never pays a stale-tag scrub.
-///   * Free lists are sharded by the thread's exclusive metrics shard and
-///     indexed by size class (direct array up to 256 classes, map beyond),
-///     so reuse after a same-thread free or GC sweep stays O(1) under an
-///     uncontended spinlock. When the bump frontier is exhausted the slow
-///     path steals exact-size blocks from every shard before reporting
-///     OutOfMemoryError.
+///   * Free lists are indexed by size class (direct array up to 256
+///     classes, map beyond). A mutator's free() goes to its home shard
+///     (the thread's exclusive metrics shard), so same-thread reuse stays
+///     O(1) under an uncontended spinlock. The GC sweep frees into one
+///     heap-wide swept pool instead, whatever thread sweeps; every
+///     mutator's fast path reads its home shard, then the swept pool,
+///     before it bumps its TLAB, so swept memory is reused as soon as the
+///     sweep returns. When the bump frontier is exhausted the slow path
+///     takes exact-size blocks from the swept pool and every shard before
+///     reporting OutOfMemoryError.
 ///   * Liveness is an atomic side bitmap over alignment granules:
 ///     isLiveObject is a lock-free O(1) bit test, and forEachObject walks
 ///     the bitmap linearly WITHOUT holding any heap lock — callbacks may
@@ -116,8 +120,17 @@ public:
   /// Allocates an Object[] of \p Length null slots.
   ObjectHeader *allocRefArray(uint32_t Length);
 
-  /// Frees an object (GC sweep only). Thread-safe.
+  /// Frees an object on behalf of the calling thread: the block goes to
+  /// that thread's home free-list shard, so its next same-size
+  /// allocation reuses it. Thread-safe.
   void free(ObjectHeader *Obj);
+
+  /// The GC sweep's free: the block goes to the heap-wide swept pool,
+  /// which every mutator's allocation fast path reads, so the sweep may
+  /// run on any thread (pool workers, the background collector, another
+  /// mutator's OOM retry). Tag clear and freed-range hook run before the
+  /// block is published. Thread-safe.
+  void freeSwept(ObjectHeader *Obj);
 
   /// Hook invoked with an object's payload range whenever that memory
   /// stops belonging to the object: on free()/GC sweep, and for the OLD
@@ -246,10 +259,15 @@ private:
                             bool FreeListHit);
 
   /// Refill-lock slow path: TLAB refill (bulk tag scrub under TagOnAlloc),
-  /// direct carve for big objects and overflow-shard threads, then
-  /// cross-shard free-list stealing. Sets \p FreeListHit when the block
-  /// came from a (stolen) free list.
+  /// direct carve for big objects and overflow-shard threads, then the
+  /// swept pool and cross-shard free-list stealing. Sets \p FreeListHit
+  /// when the block came from a free list.
   uint64_t allocSlow(uint64_t Size, unsigned Shard, bool &FreeListHit);
+
+  /// free()/freeSwept() body: unpublishes, clears tags, fires the freed
+  /// range hook and poisons \p Obj, counts it on stat shard \p Shard,
+  /// then pushes it onto \p Dest.
+  void release(ObjectHeader *Obj, unsigned Shard, FreeShard &Dest);
 
   /// Pops an exact-size block from \p FS; 0 when none. Takes FS.Lock.
   uint64_t takeFromShard(FreeShard &FS, uint64_t Size);
@@ -286,6 +304,9 @@ private:
 
   std::unique_ptr<Tlab[]> Tlabs;
   std::unique_ptr<FreeShard[]> FreeShards;
+  /// Blocks freed by the GC sweep; read by every mutator's fast path
+  /// after its home shard.
+  FreeShard SweptPool;
   std::unique_ptr<StatShard[]> StatShards;
 
   /// Seed-fidelity state for the GlobalLock ablation, guarded by

@@ -230,8 +230,9 @@ void GcController::markFromRoots(std::vector<ObjectHeader *> Roots) {
 }
 
 void GcController::sweep(GcResult &Result) {
-  // Striped over disjoint bitmap segments; JavaHeap::free is thread-safe
-  // and each worker pushes reclaimed blocks onto its own free-list shard.
+  // Striped over disjoint bitmap segments; JavaHeap::freeSwept is
+  // thread-safe and every worker pushes reclaimed blocks onto the heap's
+  // one swept pool, which every mutator's allocation fast path reads.
   unsigned Stripes = Workers <= 1 ? 1 : Workers * 4;
   std::atomic<uint64_t> FreedObjects{0}, FreedBytes{0};
   runStriped(Stripes, [&](size_t Stripe) {
@@ -242,11 +243,11 @@ void GcController::sweep(GcResult &Result) {
             return;
           Bytes += Obj->SizeBytes;
           ++Objects;
-          // free() fires the heap's freed-range hook, which reclaims any
+          // freeSwept() fires the heap's freed-range hook, which reclaims any
           // lingering (deferred tag-clear) tags on the payload — a swept
           // object must never keep a valid granule tag, or a dangling
           // native pointer into it would still pass the check.
-          RT.heap().free(Obj);
+          RT.heap().freeSwept(Obj);
         });
     FreedObjects.fetch_add(Objects, std::memory_order_relaxed);
     FreedBytes.fetch_add(Bytes, std::memory_order_relaxed);

@@ -222,9 +222,15 @@ uint64_t JavaHeap::allocSlow(uint64_t Size, unsigned Shard,
     }
   }
 
-  // Frontier exhausted: scavenge an exact-size block from ANY shard's free
-  // list before conceding OutOfMemoryError.
+  // Frontier exhausted: scavenge an exact-size block from the swept pool
+  // or ANY shard's free list before conceding OutOfMemoryError.
   HM.SlowFrontierExhausted.add();
+  if (SweptPool.Count.load(std::memory_order_relaxed) != 0) {
+    if (uint64_t Addr = takeFromShard(SweptPool, Size)) {
+      FreeListHit = true;
+      return Addr;
+    }
+  }
   for (unsigned I = 0; I < kNumShards; ++I) {
     unsigned Victim = (Shard + I) % kNumShards;
     if (FreeShards[Victim].Count.load(std::memory_order_relaxed) == 0)
@@ -306,17 +312,19 @@ ObjectHeader *JavaHeap::allocObject(uint32_t ClassWord, uint32_t Length,
     return finishAlloc(Addr, ClassWord, Length, Size, Shard, FreeListHit);
   }
 
-  // Fast path: same-size reuse from the home shard (kept ahead of the
-  // TLAB so a free-then-realloc round trip returns the same address,
-  // like the seed allocator), then the TLAB bump. The reuse check is
-  // one relaxed load when the shard is empty.
+  // Fast path: same-size reuse from the home shard, then from the swept
+  // pool (both kept ahead of the TLAB so a free-then-realloc or
+  // collect-then-realloc round trip returns the same address, like the
+  // seed allocator), then the TLAB bump. Each reuse check is one relaxed
+  // load when its list is empty.
   uint64_t Addr = 0;
-  bool FreeListHit = false;
   FreeShard &FS = FreeShards[Shard];
-  if (M4J_UNLIKELY(FS.Count.load(std::memory_order_relaxed) != 0)) {
+  if (M4J_UNLIKELY(FS.Count.load(std::memory_order_relaxed) != 0))
     Addr = takeFromShard(FS, Size);
-    FreeListHit = Addr != 0;
-  }
+  if (!Addr &&
+      M4J_UNLIKELY(SweptPool.Count.load(std::memory_order_relaxed) != 0))
+    Addr = takeFromShard(SweptPool, Size);
+  bool FreeListHit = Addr != 0;
   if (!Addr) {
     if (M4J_LIKELY(Shard != kOverflowShard)) {
       Tlab &T = Tlabs[Shard];
@@ -353,10 +361,18 @@ ObjectHeader *JavaHeap::allocRefArray(uint32_t Length) {
 }
 
 void JavaHeap::free(ObjectHeader *Obj) {
+  unsigned Shard = support::detail::metricShard();
+  release(Obj, Shard, FreeShards[Shard]);
+}
+
+void JavaHeap::freeSwept(ObjectHeader *Obj) {
+  release(Obj, support::detail::metricShard(), SweptPool);
+}
+
+void JavaHeap::release(ObjectHeader *Obj, unsigned Shard, FreeShard &Dest) {
   uint64_t Addr = reinterpret_cast<uint64_t>(Obj);
   M4J_ASSERT(contains(Obj) && (Addr & (Config.Alignment - 1)) == 0,
              "freeing unknown object");
-  unsigned Shard = support::detail::metricShard();
 
   if (M4J_UNLIKELY(Config.Pipeline == AllocPipeline::GlobalLock)) {
     // Seed fidelity: one mutex across the liveness-set find/erase, stats,
@@ -397,9 +413,10 @@ void JavaHeap::free(ObjectHeader *Obj) {
   // Poison the header so stale references are recognisable in tests.
   Obj->ClassWord = 0xDEADDEAD;
 
-  // The freeing thread's shard: GC sweep workers spread reclaimed blocks
-  // across their own shards, mutators keep same-thread reuse local.
-  pushToShard(FreeShards[Shard], Size, Addr);
+  // Published last: the block is clean and untagged before any mutator
+  // can take it (the caller's home shard for free(), the swept pool for
+  // freeSwept()).
+  pushToShard(Dest, Size, Addr);
 }
 
 std::vector<std::pair<ObjectHeader *, ObjectHeader *>> JavaHeap::compact() {
@@ -484,13 +501,16 @@ std::vector<std::pair<ObjectHeader *, ObjectHeader *>> JavaHeap::compact() {
                         reinterpret_cast<uint64_t>(Obj) + Obj->SizeBytes);
   }
   BumpOffset.store(Frontier - Base, std::memory_order_release);
-  for (unsigned I = 0; I < kNumShards; ++I) {
-    FreeShard &FS = FreeShards[I];
+  auto ClearFreeLists = [](FreeShard &FS) {
     std::lock_guard<support::SpinLock> FsGuard(FS.Lock);
     for (auto &List : FS.Small)
       List.clear();
     FS.Large.clear();
     FS.Count.store(0, std::memory_order_relaxed);
+  };
+  ClearFreeLists(SweptPool);
+  for (unsigned I = 0; I < kNumShards; ++I) {
+    ClearFreeLists(FreeShards[I]);
     Tlabs[I].Cur.store(0, std::memory_order_relaxed);
     Tlabs[I].End.store(0, std::memory_order_relaxed);
   }

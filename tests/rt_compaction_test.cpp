@@ -61,6 +61,32 @@ TEST(Compaction, SurvivorsSlideTowardBase) {
   RT.detachCurrentThread();
 }
 
+TEST(Compaction, SweptBlocksDoNotOutliveCompaction) {
+  // The sweep files the garbage's block in the swept pool, then the
+  // compaction slides B over it: the pool must be emptied, or the next
+  // same-size allocation would hand out B's live memory.
+  Runtime RT(compactingConfig());
+  RT.attachCurrentThread("main");
+  {
+    HandleScope Scope(RT);
+    RT.newPrimArray(Scope, PrimType::Int, 64);
+    RT.heap().allocPrimArray(PrimType::Int, 64); // garbage
+    RT.newPrimArray(Scope, PrimType::Int, 64);
+
+    GcResult Result = RT.gc().collect();
+    ASSERT_EQ(Result.ObjectsMoved, 1u);
+    ObjectHeader *NewB = Scope.roots()[1];
+    rt::arrayData<int32_t>(NewB)[0] = 1234;
+
+    ObjectHeader *Fresh = RT.heap().allocPrimArray(PrimType::Int, 64);
+    ASSERT_NE(Fresh, nullptr);
+    EXPECT_NE(Fresh, NewB) << "a swept block outlived the compaction";
+    EXPECT_EQ(rt::arrayData<int32_t>(NewB)[0], 1234);
+    EXPECT_EQ(RT.heap().stats().FreeListHits, 0u);
+  }
+  RT.detachCurrentThread();
+}
+
 TEST(Compaction, PinnedObjectsDoNotMove) {
   Runtime RT(compactingConfig());
   RT.attachCurrentThread("main");

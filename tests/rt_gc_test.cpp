@@ -176,4 +176,35 @@ TEST(RtGc, FreeListMemoryIsReusedAfterGc) {
   RT.detachCurrentThread();
 }
 
+/// Swept memory must come back to the mutator whatever thread ran the
+/// sweep: here a second thread drives collect(), as the background
+/// collector or another mutator's OOM retry would, at every sweep worker
+/// count. The heap is fresh, so the mutator's TLAB still has room; only a
+/// fast path that reads where the sweep put the block hands it back.
+class RtGcSweepWorkers : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(RtGcSweepWorkers, SweptBlockIsReusedWhenAnotherThreadCollects) {
+  RuntimeConfig C = baseConfig();
+  C.Gc.Parallelism = GetParam();
+  Runtime RT(C);
+  RT.attachCurrentThread("main");
+  ObjectHeader *Garbage = RT.heap().allocPrimArray(PrimType::Int, 256);
+  uint64_t Addr = reinterpret_cast<uint64_t>(Garbage);
+  uint64_t HitsBefore = RT.heap().stats().FreeListHits;
+
+  GcResult Result;
+  std::thread Collector([&] { Result = RT.gc().collect(); });
+  Collector.join();
+  ASSERT_EQ(Result.ObjectsFreed, 1u);
+  EXPECT_FALSE(RT.heap().isLiveObject(Garbage));
+
+  ObjectHeader *Reused = RT.heap().allocPrimArray(PrimType::Int, 256);
+  EXPECT_EQ(reinterpret_cast<uint64_t>(Reused), Addr);
+  EXPECT_EQ(RT.heap().stats().FreeListHits, HitsBefore + 1);
+  RT.detachCurrentThread();
+}
+
+INSTANTIATE_TEST_SUITE_P(Parallelism, RtGcSweepWorkers,
+                         ::testing::Values(1u, 2u, 4u, 8u));
+
 } // namespace
