@@ -65,10 +65,9 @@ struct GcConfig {
   /// Keep TCO set on the GC thread (correct §3.3 behaviour). Setting this
   /// to false demonstrates the crash mode the paper describes.
   bool SuppressTagChecks = true;
-  /// Worker threads for the mark-clear, mark, sweep and slot-rewrite
-  /// phases. 1 = single-threaded (the ablation baseline); 0 = auto
-  /// (min(hardware threads, 8)). The verify pass is always
-  /// single-threaded.
+  /// Worker threads for the mark, sweep and slot-rewrite phases. 1 =
+  /// single-threaded (the ablation baseline); 0 = auto (min(hardware
+  /// threads, 8)). The verify pass is always single-threaded.
   unsigned Parallelism = 0;
 };
 
@@ -119,11 +118,10 @@ private:
   /// lazily created pool otherwise.
   void runStriped(unsigned NumStripes,
                   const std::function<void(size_t)> &Body);
-  /// Clears every live object's mark bit; returns the object count.
-  uint64_t clearMarks();
   /// Marks everything transitively reachable from \p Roots.
   void markFromRoots(std::vector<ObjectHeader *> Roots);
-  /// Frees unmarked, unpinned objects; accumulates into \p Result.
+  /// Frees unmarked, unpinned objects and clears survivors' marks;
+  /// accumulates the objects visited and freed into \p Result.
   void sweep(GcResult &Result);
 
   Runtime &RT;

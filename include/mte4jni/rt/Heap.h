@@ -23,24 +23,36 @@
 ///     from the arena under a short-held refill mutex and, under
 ///     TagOnAlloc, bulk-cleaned with ONE st2g-style tag-range write per
 ///     refill so per-object colouring never pays a stale-tag scrub.
-///   * Free lists are indexed by size class (direct array up to 256
-///     classes, map beyond). A mutator's free() goes to its home shard
-///     (the thread's exclusive metrics shard), so same-thread reuse stays
-///     O(1) under an uncontended spinlock. The GC sweep frees into one
-///     heap-wide swept pool instead, whatever thread sweeps; every
-///     mutator's fast path reads its home shard, then the swept pool,
-///     before it bumps its TLAB, so swept memory is reused as soon as the
-///     sweep returns. When the bump frontier is exhausted the slow path
-///     takes exact-size blocks from the swept pool and every shard before
-///     reporting OutOfMemoryError.
+///   * Block sizes are size brackets, as in ART's allocator: up to 1 KiB a
+///     block is the request rounded to the alignment (exact classes);
+///     above it the request rounds up to one of 8 brackets per octave
+///     (step = 2^floor(log2(size-1)) / 8, at most 12.5% slack), so any
+///     free block of a bracket serves any request of that bracket and
+///     the footprint follows the live set, not the arena's high-water
+///     mark. The slack past the payload is never tagged: TagOnAlloc and
+///     JNI tagging colour only the payload granules, so a load into the
+///     slack faults like a load into a neighbour. ObjectHeader::SizeBytes
+///     (and so HeapStats::BytesLive) counts whole blocks.
+///   * Free lists are one dense array indexed by block class. A
+///     mutator's free() goes to its home shard (the thread's exclusive
+///     metrics shard), so same-thread reuse stays O(1) under an
+///     uncontended spinlock. The GC sweep frees into one heap-wide swept
+///     pool instead, a stripe's whole batch in one lock hold, whatever
+///     thread sweeps; every mutator's fast path reads its home shard,
+///     then the swept pool, before it bumps its TLAB, so swept memory is
+///     reused as soon as the sweep returns. When the bump frontier is
+///     exhausted the slow path takes same-class blocks from the swept
+///     pool and every shard before reporting OutOfMemoryError.
 ///   * Liveness is an atomic side bitmap over alignment granules:
 ///     isLiveObject is a lock-free O(1) bit test, and forEachObject walks
 ///     the bitmap linearly WITHOUT holding any heap lock — callbacks may
-///     allocate and free.
+///     allocate and free. Objects are born with their GC mark clear; the
+///     GC's sweep clears each survivor's mark, so no cycle needs a
+///     separate mark-clearing walk.
 ///
 /// AllocPipeline::GlobalLock preserves the seed allocator's behaviour —
-/// every alloc/free serialises on one mutex — as the ablation baseline
-/// for bench_alloc_throughput.
+/// every alloc/free serialises on one mutex, blocks are exact-size — as
+/// the ablation baseline for bench_alloc_throughput.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,13 +65,13 @@
 #include "mte4jni/support/SpinLock.h"
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 namespace mte4jni::rt {
@@ -125,12 +137,13 @@ public:
   /// allocation reuses it. Thread-safe.
   void free(ObjectHeader *Obj);
 
-  /// The GC sweep's free: the block goes to the heap-wide swept pool,
-  /// which every mutator's allocation fast path reads, so the sweep may
-  /// run on any thread (pool workers, the background collector, another
-  /// mutator's OOM retry). Tag clear and freed-range hook run before the
-  /// block is published. Thread-safe.
-  void freeSwept(ObjectHeader *Obj);
+  /// The GC sweep's free of a batch of dead objects: every block goes to
+  /// the heap-wide swept pool, which every mutator's allocation fast path
+  /// reads, so the sweep may run on any thread (pool workers, the
+  /// background collector, another mutator's OOM retry). Each object is
+  /// unpublished, its tags cleared and the freed-range hook fired first;
+  /// then the whole batch is published in ONE pool lock hold. Thread-safe.
+  void freeSwept(const std::vector<ObjectHeader *> &Objs);
 
   /// Hook invoked with an object's payload range whenever that memory
   /// stops belonging to the object: on free()/GC sweep, and for the OLD
@@ -206,9 +219,37 @@ private:
   // bump-allocates and uses atomic RMW for stats.
   static constexpr unsigned kNumShards = support::kMetricCells;
   static constexpr unsigned kOverflowShard = support::kMetricOverflowShard;
-  /// Free-list size classes directly indexed by (Size >> AlignShift);
-  /// larger blocks fall into a per-shard map.
-  static constexpr unsigned kNumSmallClasses = 256;
+  /// Blocks up to this size are exact classes, indexed by
+  /// (Size >> AlignShift) and sized for 8-byte alignment, the finest;
+  /// larger ones are bracketed.
+  static constexpr uint64_t kExactClassLimit = 1024;
+  static constexpr unsigned kExactClasses = (kExactClassLimit >> 3) + 1;
+  static constexpr unsigned kBracketsPerOctave = 8;
+  /// Bracket octaves (2^K, 2^(K+1)] for K = kFirstOctave .. 31: a block
+  /// is at most UINT32_MAX bytes.
+  static constexpr unsigned kFirstOctave = support::log2Of(kExactClassLimit);
+  static constexpr unsigned kBracketOctaves = 32 - kFirstOctave;
+  static constexpr unsigned kNumClasses =
+      kExactClasses + kBracketOctaves * kBracketsPerOctave;
+
+  /// Rounds an aligned request up to its block size: unchanged up to
+  /// kExactClassLimit, the next of 8 brackets per octave above it.
+  static uint64_t bracketSize(uint64_t Size) {
+    if (Size <= kExactClassLimit)
+      return Size;
+    return support::alignTo(Size, std::bit_floor(Size - 1) /
+                                      kBracketsPerOctave);
+  }
+  /// Dense free-list index of a block size produced by bracketSize.
+  unsigned classIndex(uint64_t Size) const {
+    if (Size <= kExactClassLimit)
+      return static_cast<unsigned>(Size >> AlignShift);
+    unsigned Octave = support::log2Of(Size - 1);
+    uint64_t Step = (uint64_t(1) << Octave) / kBracketsPerOctave;
+    return kExactClasses + (Octave - kFirstOctave) * kBracketsPerOctave +
+           static_cast<unsigned>(((Size - (uint64_t(1) << Octave)) / Step) -
+                                 1);
+  }
 
   struct alignas(64) Tlab {
     /// Next free byte / one-past-the-end of this shard's buffer. Relaxed
@@ -223,8 +264,7 @@ private:
     /// Blocks across all lists of this shard; a relaxed hint that lets
     /// the alloc fast path skip the lock when the shard is empty.
     std::atomic<uint64_t> Count{0};
-    std::vector<uint64_t> Small[kNumSmallClasses];
-    std::unordered_map<uint64_t, std::vector<uint64_t>> Large;
+    std::vector<uint64_t> Lists[kNumClasses];
   };
 
   struct alignas(64) StatShard {
@@ -264,12 +304,15 @@ private:
   /// when the block came from a free list.
   uint64_t allocSlow(uint64_t Size, unsigned Shard, bool &FreeListHit);
 
-  /// free()/freeSwept() body: unpublishes, clears tags, fires the freed
-  /// range hook and poisons \p Obj, counts it on stat shard \p Shard,
-  /// then pushes it onto \p Dest.
-  void release(ObjectHeader *Obj, unsigned Shard, FreeShard &Dest);
+  /// free()/freeSwept() body up to the push: unpublishes, clears tags,
+  /// fires the freed-range hook and poisons \p Obj, and counts it on stat
+  /// shard \p Shard. Returns the block size.
+  uint64_t retire(ObjectHeader *Obj, unsigned Shard);
+  /// The GlobalLock ablation's whole free, under RefillLock.
+  void releaseSeed(ObjectHeader *Obj, unsigned Shard);
 
-  /// Pops an exact-size block from \p FS; 0 when none. Takes FS.Lock.
+  /// Pops a block of \p Size's class from \p FS; 0 when none. Takes
+  /// FS.Lock.
   uint64_t takeFromShard(FreeShard &FS, uint64_t Size);
   /// Pushes a block; takes FS.Lock.
   void pushToShard(FreeShard &FS, uint64_t Size, uint64_t Addr);

@@ -224,8 +224,9 @@ uint64_t TagTable::reclaimSlotLocked(Shard &Sh, Slot &S) {
       if (Bytes > 0)
         mte::clearTagRange(Key, Bytes);
       Sh.ResidentBytes.fetch_sub(Bytes, std::memory_order_relaxed);
-      support::Metrics::counter("core/tagtable/lockfree/deferred_reclaims")
-          .add();
+      static support::Counter &DeferredReclaims = support::Metrics::counter(
+          "core/tagtable/lockfree/deferred_reclaims");
+      DeferredReclaims.add();
       return Bytes;
     }
   }

@@ -145,23 +145,6 @@ void GcController::runStriped(unsigned NumStripes,
   Pool->parallelFor(NumStripes, Body);
 }
 
-uint64_t GcController::clearMarks() {
-  // Bitmap-segment striping: each stripe owns a disjoint word range, so
-  // workers never touch the same object.
-  unsigned Stripes = Workers <= 1 ? 1 : Workers * 4;
-  std::atomic<uint64_t> Total{0};
-  runStriped(Stripes, [&](size_t Stripe) {
-    uint64_t Local = 0;
-    RT.heap().forEachObjectShard(
-        static_cast<unsigned>(Stripe), Stripes, [&](ObjectHeader *Obj) {
-          Obj->setMarked(false);
-          ++Local;
-        });
-    Total.fetch_add(Local, std::memory_order_relaxed);
-  });
-  return Total.load(std::memory_order_relaxed);
-}
-
 void GcController::markFromRoots(std::vector<ObjectHeader *> Roots) {
   if (Workers <= 1 || Roots.size() < 2) {
     // Single-threaded ablation path (and the trivial-root fast case).
@@ -230,28 +213,40 @@ void GcController::markFromRoots(std::vector<ObjectHeader *> Roots) {
 }
 
 void GcController::sweep(GcResult &Result) {
-  // Striped over disjoint bitmap segments; JavaHeap::freeSwept is
-  // thread-safe and every worker pushes reclaimed blocks onto the heap's
-  // one swept pool, which every mutator's allocation fast path reads.
+  // Striped over disjoint bitmap segments. The sweep is also where marks
+  // are cleared: every marked survivor's bit is reset here (objects are
+  // born unmarked), so the next cycle marks from a clean slate without a
+  // bitmap walk of its own. Each stripe collects its dead objects and
+  // hands them to JavaHeap::freeSwept as one batch, which frees them and
+  // publishes the whole batch onto the heap's one swept pool (read by
+  // every mutator's allocation fast path) in a single lock hold.
   unsigned Stripes = Workers <= 1 ? 1 : Workers * 4;
-  std::atomic<uint64_t> FreedObjects{0}, FreedBytes{0};
+  std::atomic<uint64_t> Scanned{0}, FreedObjects{0}, FreedBytes{0};
   runStriped(Stripes, [&](size_t Stripe) {
     uint64_t Objects = 0, Bytes = 0;
+    std::vector<ObjectHeader *> Dead;
     RT.heap().forEachObjectShard(
         static_cast<unsigned>(Stripe), Stripes, [&](ObjectHeader *Obj) {
-          if (Obj->isMarked() || Obj->pinCount() > 0)
+          ++Objects;
+          if (Obj->isMarked()) {
+            Obj->setMarked(false);
+            return;
+          }
+          if (Obj->pinCount() > 0)
             return;
           Bytes += Obj->SizeBytes;
-          ++Objects;
-          // freeSwept() fires the heap's freed-range hook, which reclaims any
-          // lingering (deferred tag-clear) tags on the payload — a swept
-          // object must never keep a valid granule tag, or a dangling
-          // native pointer into it would still pass the check.
-          RT.heap().freeSwept(Obj);
+          Dead.push_back(Obj);
         });
-    FreedObjects.fetch_add(Objects, std::memory_order_relaxed);
+    // freeSwept() fires the heap's freed-range hook, which reclaims any
+    // lingering (deferred tag-clear) tags on each payload — a swept object
+    // must never keep a valid granule tag, or a dangling native pointer
+    // into it would still pass the check.
+    RT.heap().freeSwept(Dead);
+    Scanned.fetch_add(Objects, std::memory_order_relaxed);
+    FreedObjects.fetch_add(Dead.size(), std::memory_order_relaxed);
     FreedBytes.fetch_add(Bytes, std::memory_order_relaxed);
   });
+  Result.ObjectsScanned += Scanned.load(std::memory_order_relaxed);
   Result.ObjectsFreed += FreedObjects.load(std::memory_order_relaxed);
   Result.BytesFreed += FreedBytes.load(std::memory_order_relaxed);
 }
@@ -278,16 +273,15 @@ GcResult GcController::collect() {
   GM.ParallelWorkers.set(Workers);
 
   // Mark phase: everything TRANSITIVELY reachable from handle-scope
-  // roots; reference arrays are traced through their slots.
+  // roots; reference arrays are traced through their slots. Every mark
+  // bit is clear here: the previous sweep reset its survivors'.
   uint64_t MarkStart = support::monotonicNanos();
-  std::vector<ObjectHeader *> Roots = RT.snapshotRoots();
-  Result.ObjectsScanned = clearMarks();
-  markFromRoots(std::move(Roots));
+  markFromRoots(RT.snapshotRoots());
   uint64_t MarkEnd = support::monotonicNanos();
   GM.MarkNanos.record(MarkEnd - MarkStart);
   recordGcPhaseFlight(support::GcFlightPhase::Mark, MarkStart, MarkEnd);
 
-  // Sweep phase: free unmarked, unpinned objects.
+  // Sweep phase: free unmarked, unpinned objects; unmark survivors.
   uint64_t SweepStart = support::monotonicNanos();
   sweep(Result);
   uint64_t SweepEnd = support::monotonicNanos();

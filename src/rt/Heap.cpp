@@ -35,6 +35,10 @@ struct HeapMetrics {
       support::Metrics::counter("rt/heap/freelist_steal");
   support::Gauge &BitmapBytes =
       support::Metrics::gauge("rt/heap/bitmap_bytes");
+  /// High-water mark of the bump frontier (bytes from the arena base):
+  /// a heap that stops reusing freed memory shows up as growth here.
+  support::Gauge &FrontierBytes =
+      support::Metrics::gauge("rt/heap/frontier_bytes");
   /// Why an allocation left the TLAB bump path (fast-path attribution):
   /// refill = normal TLAB exhaustion; big_object = Size * 4 > TlabBytes;
   /// tlab_off = TlabBytes 0 or non-TLAB pipeline; overflow_shard = more
@@ -122,6 +126,8 @@ uint64_t JavaHeap::carveLocked(uint64_t Bytes) {
   if (Aligned + Bytes > Base + Config.CapacityBytes)
     return 0;
   BumpOffset.store((Aligned + Bytes) - Base, std::memory_order_release);
+  heapMetrics().FrontierBytes.updateMax(
+      static_cast<int64_t>((Aligned + Bytes) - Base));
   return Aligned;
 }
 
@@ -129,31 +135,18 @@ uint64_t JavaHeap::takeFromShard(FreeShard &FS, uint64_t Size) {
   std::lock_guard<support::SpinLock> Guard(FS.Lock);
   if (FS.Count.load(std::memory_order_relaxed) == 0)
     return 0;
-  std::vector<uint64_t> *List = nullptr;
-  uint64_t Class = Size >> AlignShift;
-  if (Class < kNumSmallClasses) {
-    if (!FS.Small[Class].empty())
-      List = &FS.Small[Class];
-  } else {
-    auto It = FS.Large.find(Size);
-    if (It != FS.Large.end() && !It->second.empty())
-      List = &It->second;
-  }
-  if (!List)
+  std::vector<uint64_t> &List = FS.Lists[classIndex(Size)];
+  if (List.empty())
     return 0;
-  uint64_t Addr = List->back();
-  List->pop_back();
+  uint64_t Addr = List.back();
+  List.pop_back();
   FS.Count.fetch_sub(1, std::memory_order_relaxed);
   return Addr;
 }
 
 void JavaHeap::pushToShard(FreeShard &FS, uint64_t Size, uint64_t Addr) {
   std::lock_guard<support::SpinLock> Guard(FS.Lock);
-  uint64_t Class = Size >> AlignShift;
-  if (Class < kNumSmallClasses)
-    FS.Small[Class].push_back(Addr);
-  else
-    FS.Large[Size].push_back(Addr);
+  FS.Lists[classIndex(Size)].push_back(Addr);
   FS.Count.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -189,7 +182,8 @@ uint64_t JavaHeap::allocSlow(uint64_t Size, unsigned Shard,
       }
     }
     if (TlabStart) {
-      heapMetrics().TlabRefill.add();
+      HM.TlabRefill.add();
+      HM.FrontierBytes.updateMax(static_cast<int64_t>(TlabEnd - Base));
       // TLAB refills are cold: always in the flight ring unless Off.
       if (support::obs::coldArmed())
         support::FlightRecorder::record(
@@ -222,7 +216,7 @@ uint64_t JavaHeap::allocSlow(uint64_t Size, unsigned Shard,
     }
   }
 
-  // Frontier exhausted: scavenge an exact-size block from the swept pool
+  // Frontier exhausted: scavenge a same-class block from the swept pool
   // or ANY shard's free list before conceding OutOfMemoryError.
   HM.SlowFrontierExhausted.add();
   if (SweptPool.Count.load(std::memory_order_relaxed) != 0) {
@@ -252,15 +246,19 @@ ObjectHeader *JavaHeap::finishAlloc(uint64_t Addr, uint32_t ClassWord,
   Obj->ClassWord = ClassWord;
   Obj->Length = Length;
   Obj->SizeBytes = static_cast<uint32_t>(Size);
+  // Born unmarked: the sweep clears survivors' marks, so no cycle has to
+  // clear them before marking.
   Obj->Flags = 0;
   std::memset(Obj->data(), 0, Size - sizeof(ObjectHeader));
 
   // Tag-on-allocation ablation: colour the payload now, once, for the
-  // object's whole lifetime. Lock-free under the Tlab pipeline: the block
-  // is thread-exclusive until the liveness bit below publishes it.
-  if (Config.TagOnAlloc && Size > sizeof(ObjectHeader)) {
+  // object's whole lifetime — the payload granules only, so a bracketed
+  // block's slack stays tag 0 and an overflow into it faults. Lock-free
+  // under the Tlab pipeline: the block is thread-exclusive until the
+  // liveness bit below publishes it.
+  if (Config.TagOnAlloc && Obj->dataBytes() != 0) {
     auto Tagged = mte::irg(mte::TaggedPtr<void>::fromRaw(Obj->data(), 0));
-    mte::setTagRange(Tagged, Size - sizeof(ObjectHeader));
+    mte::setTagRange(Tagged, Obj->dataBytes());
   }
 
   // Publish: release so a lock-free isLiveObject/forEachObject that sees
@@ -279,8 +277,11 @@ ObjectHeader *JavaHeap::finishAlloc(uint64_t Addr, uint32_t ClassWord,
 
 ObjectHeader *JavaHeap::allocObject(uint32_t ClassWord, uint32_t Length,
                                     uint64_t PayloadBytes) {
+  // The GlobalLock ablation keeps the seed's exact sizes.
   uint64_t Size = support::alignTo(sizeof(ObjectHeader) + PayloadBytes,
                                    Config.Alignment);
+  if (M4J_LIKELY(Config.Pipeline == AllocPipeline::Tlab))
+    Size = bracketSize(Size);
   if (Size > UINT32_MAX)
     return nullptr;
 
@@ -312,7 +313,7 @@ ObjectHeader *JavaHeap::allocObject(uint32_t ClassWord, uint32_t Length,
     return finishAlloc(Addr, ClassWord, Length, Size, Shard, FreeListHit);
   }
 
-  // Fast path: same-size reuse from the home shard, then from the swept
+  // Fast path: same-class reuse from the home shard, then from the swept
   // pool (both kept ahead of the TLAB so a free-then-realloc or
   // collect-then-realloc round trip returns the same address, like the
   // seed allocator), then the TLAB bump. Each reuse check is one relaxed
@@ -362,38 +363,52 @@ ObjectHeader *JavaHeap::allocRefArray(uint32_t Length) {
 
 void JavaHeap::free(ObjectHeader *Obj) {
   unsigned Shard = support::detail::metricShard();
-  release(Obj, Shard, FreeShards[Shard]);
+  if (M4J_UNLIKELY(Config.Pipeline == AllocPipeline::GlobalLock)) {
+    releaseSeed(Obj, Shard);
+    return;
+  }
+  uint64_t Size = retire(Obj, Shard);
+  // Published last: the block is clean and untagged before any mutator
+  // can take it.
+  pushToShard(FreeShards[Shard], Size, reinterpret_cast<uint64_t>(Obj));
 }
 
-void JavaHeap::freeSwept(ObjectHeader *Obj) {
-  release(Obj, support::detail::metricShard(), SweptPool);
+void JavaHeap::freeSwept(const std::vector<ObjectHeader *> &Objs) {
+  if (Objs.empty())
+    return;
+  unsigned Shard = support::detail::metricShard();
+  if (M4J_UNLIKELY(Config.Pipeline == AllocPipeline::GlobalLock)) {
+    for (ObjectHeader *Obj : Objs)
+      releaseSeed(Obj, Shard);
+    return;
+  }
+  for (ObjectHeader *Obj : Objs)
+    retire(Obj, Shard);
+  // Published last, all at once: one pool lock hold per sweep stripe
+  // instead of one per object, shared by every sweep worker.
+  std::lock_guard<support::SpinLock> Guard(SweptPool.Lock);
+  for (ObjectHeader *Obj : Objs)
+    SweptPool.Lists[classIndex(Obj->SizeBytes)].push_back(
+        reinterpret_cast<uint64_t>(Obj));
+  SweptPool.Count.fetch_add(Objs.size(), std::memory_order_relaxed);
 }
 
-void JavaHeap::release(ObjectHeader *Obj, unsigned Shard, FreeShard &Dest) {
+void JavaHeap::releaseSeed(ObjectHeader *Obj, unsigned Shard) {
+  // Seed fidelity: one mutex across the liveness-set find/erase, stats,
+  // tag clear, poison and the free-list map push.
+  uint64_t Addr = reinterpret_cast<uint64_t>(Obj);
+  std::lock_guard<std::mutex> Guard(RefillLock);
+  auto It = SeedLive.find(Addr);
+  M4J_ASSERT(It != SeedLive.end(), "freeing unknown object");
+  SeedLive.erase(It);
+  uint64_t Size = retire(Obj, Shard);
+  SeedFree[Size].push_back(Addr);
+}
+
+uint64_t JavaHeap::retire(ObjectHeader *Obj, unsigned Shard) {
   uint64_t Addr = reinterpret_cast<uint64_t>(Obj);
   M4J_ASSERT(contains(Obj) && (Addr & (Config.Alignment - 1)) == 0,
              "freeing unknown object");
-
-  if (M4J_UNLIKELY(Config.Pipeline == AllocPipeline::GlobalLock)) {
-    // Seed fidelity: one mutex across the liveness-set find/erase, stats,
-    // tag clear, poison and the free-list map push.
-    std::lock_guard<std::mutex> Guard(RefillLock);
-    auto It = SeedLive.find(Addr);
-    M4J_ASSERT(It != SeedLive.end(), "freeing unknown object");
-    SeedLive.erase(It);
-    clearLiveBit(Addr);
-    uint64_t Size = Obj->SizeBytes;
-    StatShard &St = StatShards[Shard];
-    statAdd(St.BytesLive, -static_cast<int64_t>(Size), Shard);
-    statAdd(St.ObjectsLive, -1, Shard);
-    statAdd(St.ObjectsFreed, 1, Shard);
-    if (Config.TagOnAlloc && Size > sizeof(ObjectHeader))
-      mte::clearTagRange(Obj->dataAddress(), Size - sizeof(ObjectHeader));
-    notifyFreedRange(Obj, Size);
-    Obj->ClassWord = 0xDEADDEAD;
-    SeedFree[Size].push_back(Addr);
-    return;
-  }
 
   // Unpublish first: a lock-free isLiveObject never observes a poisoned
   // live object. Also asserts the bit was set (double-free detector).
@@ -405,18 +420,15 @@ void JavaHeap::release(ObjectHeader *Obj, unsigned Shard, FreeShard &Dest) {
   statAdd(St.ObjectsLive, -1, Shard);
   statAdd(St.ObjectsFreed, 1, Shard);
 
-  if (Config.TagOnAlloc && Size > sizeof(ObjectHeader))
-    mte::clearTagRange(Obj->dataAddress(), Size - sizeof(ObjectHeader));
+  // Only the payload granules were coloured (finishAlloc, compact()).
+  if (Config.TagOnAlloc && Obj->dataBytes() != 0)
+    mte::clearTagRange(Obj->dataAddress(), Obj->dataBytes());
   // A dead object must not keep valid granule tags: give the tag
   // allocator its chance to reclaim a deferred (lingering) tag-clear.
   notifyFreedRange(Obj, Size);
   // Poison the header so stale references are recognisable in tests.
   Obj->ClassWord = 0xDEADDEAD;
-
-  // Published last: the block is clean and untagged before any mutator
-  // can take it (the caller's home shard for free(), the swept pool for
-  // freeSwept()).
-  pushToShard(Dest, Size, Addr);
+  return Size;
 }
 
 std::vector<std::pair<ObjectHeader *, ObjectHeader *>> JavaHeap::compact() {
@@ -467,8 +479,8 @@ std::vector<std::pair<ObjectHeader *, ObjectHeader *>> JavaHeap::compact() {
     // overlap a later source, so the erase cannot hit the new location of
     // a previously moved object.
     mte::TagValue Tag = 0;
-    bool HasPayload = Size > sizeof(ObjectHeader);
-    if (Config.TagOnAlloc && HasPayload)
+    uint64_t PayloadBytes = Obj->dataBytes();
+    if (Config.TagOnAlloc && PayloadBytes != 0)
       Tag = mte::ldgTag(Obj->dataAddress());
     // The object leaves this address: reclaim any lingering JNI tag on
     // the old payload before fresh allocations land here, or they would
@@ -477,11 +489,10 @@ std::vector<std::pair<ObjectHeader *, ObjectHeader *>> JavaHeap::compact() {
     notifyFreedRange(Obj, Size);
     std::memmove(reinterpret_cast<void *>(Target), Obj, Size);
     auto *NewObj = reinterpret_cast<ObjectHeader *>(Target);
-    if (Config.TagOnAlloc && HasPayload) {
-      mte::clearTagRange(reinterpret_cast<uint64_t>(Obj), Size);
-      mte::setTagRange(
-          mte::TaggedPtr<void>::fromRaw(NewObj->data(), Tag),
-          Size - sizeof(ObjectHeader));
+    if (Config.TagOnAlloc && PayloadBytes != 0) {
+      mte::clearTagRange(Obj->dataAddress(), PayloadBytes);
+      mte::setTagRange(mte::TaggedPtr<void>::fromRaw(NewObj->data(), Tag),
+                       PayloadBytes);
     }
     Moved.emplace_back(Obj, NewObj);
     Final.push_back(NewObj);
@@ -503,9 +514,8 @@ std::vector<std::pair<ObjectHeader *, ObjectHeader *>> JavaHeap::compact() {
   BumpOffset.store(Frontier - Base, std::memory_order_release);
   auto ClearFreeLists = [](FreeShard &FS) {
     std::lock_guard<support::SpinLock> FsGuard(FS.Lock);
-    for (auto &List : FS.Small)
+    for (auto &List : FS.Lists)
       List.clear();
-    FS.Large.clear();
     FS.Count.store(0, std::memory_order_relaxed);
   };
   ClearFreeLists(SweptPool);

@@ -177,4 +177,39 @@ TEST(AllocTagPolicy, UtfScratchStillProtected) {
   EXPECT_EQ(S.faults().countOf(mte::FaultKind::TagMismatchSync), 1u);
 }
 
+/// Size brackets leave slack between a large array's payload and the end
+/// of its block: 300 ints are 1200 payload bytes (75 whole granules) in a
+/// 1280-byte block. Neither design may colour that slack, so a load one
+/// granule past the payload faults exactly as a load into a neighbouring
+/// object's header would.
+void expectBracketSlackLoadFaults(api::Scheme Protection) {
+  api::SessionConfig C = tagOnAllocConfig();
+  C.Protection = Protection;
+  api::Session S(C);
+  api::ScopedAttach Main(S, "main");
+  rt::HandleScope Scope(S.runtime());
+  constexpr jni::jsize kLength = 300;
+  jni::jarray A = Main.env().NewIntArray(Scope, kLength);
+  ASSERT_GE(A->SizeBytes,
+            sizeof(rt::ObjectHeader) + A->dataBytes() + mte::kGranuleSize)
+      << "the block must have at least one granule of slack";
+  rt::callNative(Main.thread(), rt::NativeKind::Regular, "slack", [&] {
+    jni::jboolean IsCopy;
+    auto P = Main.env().GetIntArrayElements(A, &IsCopy);
+    volatile jni::jint V = mte::load<jni::jint>(P + kLength);
+    (void)V;
+    Main.env().ReleaseIntArrayElements(A, P, jni::JNI_ABORT);
+    return 0;
+  });
+  EXPECT_EQ(S.faults().countOf(mte::FaultKind::TagMismatchSync), 1u);
+}
+
+TEST(AllocTagPolicy, LoadIntoBracketSlackFaults) {
+  expectBracketSlackLoadFaults(api::Scheme::TagOnAllocSync);
+}
+
+TEST(AllocTagPolicy, LoadIntoBracketSlackFaultsUnderMte4Jni) {
+  expectBracketSlackLoadFaults(api::Scheme::Mte4JniSync);
+}
+
 } // namespace

@@ -15,6 +15,7 @@
 
 #include "mte4jni/api/Session.h"
 #include "mte4jni/mte/Access.h"
+#include "mte4jni/mte/Instructions.h"
 
 #include <gtest/gtest.h>
 
@@ -194,6 +195,42 @@ TEST(Compaction, ManyObjectsManyCycles) {
       ASSERT_EQ(static_cast<uint32_t>(rt::arrayData<int32_t>(Roots[I])[7]),
                 Expected[I])
           << "cycle " << Cycle << " object " << I;
+  }
+  RT.detachCurrentThread();
+}
+
+TEST(Compaction, MovedBracketSlackStaysUntagged) {
+  // Under tag-on-allocation the colour travels with a moved object's
+  // payload granules only: the slack of its bracketed block (300 ints =
+  // 1200 payload bytes in a 1280-byte block) stays tag 0 at the new
+  // address, so an overflow past the payload still faults.
+  RuntimeConfig C = compactingConfig();
+  C.Heap.Alignment = 16;
+  C.Heap.ProtMte = true;
+  C.Heap.TagOnAlloc = true;
+  Runtime RT(C);
+  RT.attachCurrentThread("main");
+  {
+    HandleScope Scope(RT);
+    RT.heap().allocPrimArray(PrimType::Int, 300); // garbage to slide over
+    ObjectHeader *B = RT.newPrimArray(Scope, PrimType::Int, 300);
+    mte::TagValue Tag = mte::ldgTag(B->dataAddress());
+    ASSERT_NE(Tag, 0);
+
+    ASSERT_EQ(RT.gc().collect().ObjectsMoved, 1u);
+    ObjectHeader *NewB = Scope.roots()[0];
+    ASSERT_NE(NewB, B);
+    const uint64_t PayloadEnd = NewB->dataAddress() + NewB->dataBytes();
+    const uint64_t BlockEnd =
+        reinterpret_cast<uint64_t>(NewB) + NewB->SizeBytes;
+    ASSERT_LT(PayloadEnd, BlockEnd) << "no bracket slack to check";
+    for (uint64_t Addr = NewB->dataAddress(); Addr < PayloadEnd;
+         Addr += mte::kGranuleSize)
+      EXPECT_EQ(mte::ldgTag(Addr), Tag) << "payload granule lost its colour";
+    for (uint64_t Addr = PayloadEnd; Addr < BlockEnd;
+         Addr += mte::kGranuleSize)
+      EXPECT_EQ(mte::ldgTag(Addr), 0) << "slack granule coloured at +"
+                                      << Addr - NewB->dataAddress();
   }
   RT.detachCurrentThread();
 }

@@ -6,9 +6,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "mte4jni/rt/Runtime.h"
+#include "mte4jni/support/Metrics.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <thread>
 
 namespace {
@@ -126,7 +129,10 @@ TEST(RtGc, BackgroundThreadCollects) {
   for (int I = 0; I < 50; ++I)
     RT.heap().allocPrimArray(PrimType::Int, 64);
 
-  for (int Spin = 0; Spin < 200 && RT.heap().stats().ObjectsLive > 0;
+  // The sweep empties the heap mid-cycle, but the cycle count moves only
+  // at the cycle's end: wait for both.
+  for (int Spin = 0; Spin < 200 && (RT.heap().stats().ObjectsLive > 0 ||
+                                    RT.gc().completedCycles() == 0);
        ++Spin)
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   EXPECT_EQ(RT.heap().stats().ObjectsLive, 0u);
@@ -173,6 +179,53 @@ TEST(RtGc, FreeListMemoryIsReusedAfterGc) {
   RT.gc().collect();
   ObjectHeader *Reused = RT.heap().allocPrimArray(PrimType::Int, 256);
   EXPECT_EQ(reinterpret_cast<uint64_t>(Reused), Addr);
+  RT.detachCurrentThread();
+}
+
+/// The heap's footprint must follow what each cycle allocates, not the
+/// mix of sizes it draws. One thread churns unrooted arrays of uniformly
+/// drawn 64 B - 16 KiB blocks and collects every kPerCycle allocations, so
+/// each cycle's garbage is swept before the next cycle draws. Size
+/// brackets let a swept block serve any request of its bracket; with
+/// exact-size free lists nearly every draw found no block of its own size
+/// and bumped the frontier, which crept towards the arena's capacity.
+TEST(RtGc, FrontierStaysNearOneCycleOfAllocation) {
+  RuntimeConfig C = baseConfig();
+  C.Heap.CapacityBytes = 64 << 20;
+  C.Gc.Parallelism = 1;
+  Runtime RT(C);
+  RT.attachCurrentThread("main");
+  support::Gauge &Frontier =
+      support::Metrics::gauge("rt/heap/frontier_bytes");
+  Frontier.reset();
+
+  constexpr unsigned kPerCycle = 64;
+  constexpr unsigned kCycles = 300;
+  std::mt19937_64 Rng(7);
+  std::uniform_int_distribution<uint32_t> BlockBytes(64, 16 << 10);
+  uint64_t Allocated = 0, Extent = 0;
+  for (unsigned Cycle = 0; Cycle < kCycles; ++Cycle) {
+    for (unsigned I = 0; I < kPerCycle; ++I) {
+      uint32_t Bytes = BlockBytes(Rng);
+      ObjectHeader *Obj = RT.heap().allocPrimArray(
+          PrimType::Byte, Bytes - static_cast<uint32_t>(sizeof(ObjectHeader)));
+      ASSERT_NE(Obj, nullptr) << "heap exhausted in cycle " << Cycle;
+      Allocated += Bytes;
+      Extent = std::max(Extent, reinterpret_cast<uint64_t>(Obj) +
+                                    Obj->SizeBytes - RT.heap().base());
+    }
+    RT.gc().collect();
+  }
+  // Per-bracket demand varies from cycle to cycle, so the pool settles at
+  // a few cycles' worth of blocks (~3.6x here); exact-size lists reached
+  // ~40x.
+  const uint64_t Bound = 6 * (Allocated / kCycles);
+  EXPECT_LT(Extent, Bound) << "blocks reach " << Extent
+                           << " B past the heap base";
+  const uint64_t Gauge = static_cast<uint64_t>(Frontier.value());
+  EXPECT_GE(Gauge, Extent)
+      << "the frontier gauge must cover every block handed out";
+  EXPECT_LT(Gauge, Bound);
   RT.detachCurrentThread();
 }
 

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 namespace {
 
 using namespace mte4jni;
@@ -92,6 +94,52 @@ TEST_F(RtHeapTest, FreeListReuseAfterFree) {
   Heap.free(A);
   ObjectHeader *B = Heap.allocPrimArray(PrimType::Int, 64);
   EXPECT_EQ(reinterpret_cast<uint64_t>(B), Addr);
+  EXPECT_EQ(Heap.stats().FreeListHits, 1u);
+}
+
+TEST_F(RtHeapTest, BlocksAreSizeBracketsAboveOneKiB) {
+  HeapConfig Config;
+  Config.Alignment = 16;
+  JavaHeap Heap(Config);
+  HeapConfig SeedConfig = Config;
+  SeedConfig.Pipeline = rt::AllocPipeline::GlobalLock;
+  JavaHeap Seed(SeedConfig);
+  for (uint32_t Payload = 0; Payload <= (20u << 10); Payload += 16) {
+    const uint64_t Request = sizeof(ObjectHeader) + Payload;
+    ObjectHeader *Obj = Heap.allocPrimArray(PrimType::Byte, Payload);
+    ASSERT_NE(Obj, nullptr);
+    const uint64_t Block = Obj->SizeBytes;
+    if (Request <= 1024) {
+      EXPECT_EQ(Block, Request) << "exact 16-byte classes up to 1 KiB";
+    } else {
+      // One of 8 brackets per octave: at most 1/8 of slack.
+      EXPECT_GE(Block, Request);
+      EXPECT_LE(Block * 8, Request * 9) << "request " << Request;
+      const uint64_t Step = std::bit_floor(Request - 1) / 8;
+      EXPECT_EQ(Block % Step, 0u) << "request " << Request;
+      EXPECT_LT(Block - Request, Step) << "request " << Request;
+    }
+    Heap.free(Obj);
+    // The GlobalLock ablation keeps the seed's exact sizes.
+    ObjectHeader *Exact = Seed.allocPrimArray(PrimType::Byte, Payload);
+    ASSERT_NE(Exact, nullptr);
+    EXPECT_EQ(Exact->SizeBytes, Request);
+    Seed.free(Exact);
+  }
+}
+
+TEST_F(RtHeapTest, FreedBlockServesEverySizeOfItsBracket) {
+  // 1100 and 1150 B requests both round up to the 1152 B bracket: one
+  // block serves both, where exact-size lists would bump the frontier.
+  JavaHeap Heap(HeapConfig{});
+  ObjectHeader *A = Heap.allocPrimArray(PrimType::Byte, 1100 - 16);
+  uint64_t Addr = reinterpret_cast<uint64_t>(A);
+  EXPECT_EQ(A->SizeBytes, 1152u);
+  Heap.free(A);
+  ObjectHeader *B = Heap.allocPrimArray(PrimType::Byte, 1150 - 16);
+  EXPECT_EQ(reinterpret_cast<uint64_t>(B), Addr);
+  EXPECT_EQ(B->SizeBytes, 1152u);
+  EXPECT_EQ(B->dataBytes(), 1150u - 16u);
   EXPECT_EQ(Heap.stats().FreeListHits, 1u);
 }
 

@@ -200,11 +200,17 @@ TEST(RtSafepoint, TtspRecordsLongCriticalHoldout) {
   const uint64_t CountBefore = TtspBefore ? TtspBefore->Count : 0;
   const uint64_t SumBefore = TtspBefore ? TtspBefore->Sum : 0;
 
+  // The holder's 10 ms run from the pause request, not from its own
+  // entry: the collector's attach may lag the holder by several ms on a
+  // loaded host, and that lag is not time-to-safepoint.
   std::atomic<bool> InCritical{false};
+  std::atomic<bool> PauseRequested{false};
   std::thread Holder([&] {
     RT.attachCurrentThread("holder");
     RT.enterCritical();
     InCritical.store(true);
+    while (!PauseRequested.load())
+      std::this_thread::yield();
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     RT.exitCritical();
     RT.detachCurrentThread();
@@ -213,6 +219,7 @@ TEST(RtSafepoint, TtspRecordsLongCriticalHoldout) {
     std::this_thread::yield();
 
   RT.attachCurrentThread("gc", ThreadKind::GcSupport);
+  PauseRequested.store(true);
   RT.beginPause(); // blocks until Holder drains: ttsp ~= the hold time
   RT.endPause();
   RT.detachCurrentThread();
